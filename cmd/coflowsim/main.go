@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -178,11 +179,9 @@ func main() {
 	fmt.Printf("matchings used:   %d\n", res.Matchings)
 	fmt.Printf("groups:           %d\n", len(res.Stages))
 	if *lower {
-		lb, err := coflow.LowerBound(ins)
-		if err != nil {
+		if err := writeLowerBound(os.Stdout, ins, res); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("LP lower bound:   %.0f (schedule/bound = %.3f)\n", lb, res.TotalWeighted/lb)
 	}
 	fmt.Printf("slowdown:         %s\n", stats.SlowdownSummary(ins, res.Completion).Format())
 	if *verbose {
@@ -191,6 +190,23 @@ func main() {
 	if *gantt {
 		printGantt(ins, res, *backfill && !*randomized, *recompute && !*randomized)
 	}
+}
+
+// writeLowerBound prints the interval-LP lower bound line of -lower.
+// An LP-ordered schedule already solved that LP, so its bound is
+// reused; other orderings solve it here.
+func writeLowerBound(w io.Writer, ins *coflow.Instance, res *coflow.Result) error {
+	var lb float64
+	if res.LP != nil {
+		lb = res.LP.LowerBound
+	} else {
+		var err error
+		if lb, err = coflow.LowerBound(ins); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "LP lower bound:   %.0f (schedule/bound = %.3f)\n", lb, res.TotalWeighted/lb)
+	return err
 }
 
 // setupObs builds one registry and installs the package-level

@@ -15,6 +15,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"coflow/internal/obs"
 )
 
 // diffObjTol is the relative objective agreement required between the
@@ -211,8 +213,13 @@ func randomProblem(rng *rand.Rand) *Problem {
 
 // TestSparseVsDenseRandomSweep is the random-LP half of the seeded
 // 1000-instance differential sweep (the lpmodel half lives in
-// internal/lpmodel). Short mode runs a fifth of it.
+// internal/lpmodel). Short mode runs a fifth of it. No sparse solve
+// may fall back to the dense oracle: a silent fallback would hide an
+// LU breakdown behind the oracle's own answer.
 func TestSparseVsDenseRandomSweep(t *testing.T) {
+	o := NewObs(obs.NewRegistry())
+	SetObs(o)
+	defer SetObs(Obs{})
 	instances := 800
 	if testing.Short() {
 		instances = 160
@@ -233,6 +240,12 @@ func TestSparseVsDenseRandomSweep(t *testing.T) {
 		if statuses[s] == 0 {
 			t.Errorf("sweep never produced status %v (got %v)", s, statuses)
 		}
+	}
+	if o.SparseSolves.Value() == 0 {
+		t.Error("the installed registry counted no sparse solves")
+	}
+	if n := o.SparseFallbacks.Value(); n != 0 {
+		t.Errorf("%d of %d sparse solves fell back to the dense solver", n, o.SparseSolves.Value())
 	}
 }
 

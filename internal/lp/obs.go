@@ -17,7 +17,9 @@ import "coflow/internal/obs"
 //	phase2         optimality phase (minimize the real objective)
 //	presolve       the reduction loop ahead of the revised simplex
 //	factorize      one sparse LU (re)factorization of the basis
-//	price          one pricing pass (BTRAN + reduced costs)
+//	price          one reduced-cost pass: a pivot-row update (BTRAN
+//	               of the leaving row + α_r) or a full recompute
+//	               from fresh duals
 //	update         one basis change (xB update + eta push)
 type Obs struct {
 	SolveSeconds         *obs.Histogram
@@ -70,7 +72,7 @@ func NewObs(r *obs.Registry) Obs {
 		Phase2Seconds:        r.Histogram("coflow_lp_phase2_seconds", "latency of the optimality phase", obs.LatencyBuckets),
 		PresolveSeconds:      r.Histogram("coflow_lp_presolve_seconds", "latency of the presolve reduction loop", obs.LatencyBuckets),
 		FactorizeSeconds:     r.Histogram("coflow_lp_factorize_seconds", "latency of one sparse basis LU factorization", obs.LatencyBuckets),
-		PriceSeconds:         r.Histogram("coflow_lp_price_seconds", "latency of one revised-simplex pricing pass", obs.LatencyBuckets),
+		PriceSeconds:         r.Histogram("coflow_lp_price_seconds", "latency of one revised-simplex reduced-cost update or recompute", obs.LatencyBuckets),
 		UpdateSeconds:        r.Histogram("coflow_lp_update_seconds", "latency of one revised-simplex basis update", obs.LatencyBuckets),
 
 		Solves:          r.Counter("coflow_lp_solves_total", "simplex solves run"),

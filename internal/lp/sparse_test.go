@@ -7,6 +7,7 @@ package lp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -226,6 +227,88 @@ func TestMPSRoundTripPresolved(t *testing.T) {
 	}
 }
 
+// luHarness keeps a basis both as the sparse columns the factors
+// consume and as a dense copy for reference products.
+type luHarness struct {
+	t     *testing.T
+	rng   *rand.Rand
+	m     int
+	cols  []spCol
+	dense [][]float64 // dense[i][j]
+	blu   *basisLU
+}
+
+func newLUHarness(t *testing.T, rng *rand.Rand, cols []spCol) *luHarness {
+	m := len(cols)
+	h := &luHarness{t: t, rng: rng, m: m, cols: cols, dense: make([][]float64, m), blu: newBasisLU(m)}
+	for i := range h.dense {
+		h.dense[i] = make([]float64, m)
+	}
+	for j, c := range cols {
+		for i, row := range c.ind {
+			h.dense[row][j] += c.val[i]
+		}
+	}
+	return h
+}
+
+func (h *luHarness) refactor() error {
+	return h.blu.refactor(func(k int) spCol { return h.cols[k] })
+}
+
+// checkInverse verifies FTRAN and BTRAN invert the current basis on a
+// random vector: z = B⁻¹·(B·x) and y = B⁻ᵀ·(Bᵀ·x) must return x.
+func (h *luHarness) checkInverse(label string) {
+	h.t.Helper()
+	m := h.m
+	want := make([]float64, m)
+	for i := range want {
+		want[i] = h.rng.NormFloat64()
+	}
+	rhs := make([]float64, m)  // B·want, row coordinates
+	rhsT := make([]float64, m) // Bᵀ·want, position coordinates
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			rhs[i] += h.dense[i][j] * want[j]
+			rhsT[j] += h.dense[i][j] * want[i]
+		}
+	}
+	z := make([]float64, m)
+	h.blu.ftran(rhs, z)
+	y := make([]float64, m)
+	h.blu.btran(rhsT, y)
+	for i := 0; i < m; i++ {
+		if math.Abs(z[i]-want[i]) > 1e-8 {
+			h.t.Fatalf("%s: ftran[%d] = %g, want %g", label, i, z[i], want[i])
+		}
+		if math.Abs(y[i]-want[i]) > 1e-8 {
+			h.t.Fatalf("%s: btran[%d] = %g, want %g", label, i, y[i], want[i])
+		}
+	}
+}
+
+// replace swaps position r's column for c through an eta update, as a
+// simplex pivot does.
+func (h *luHarness) replace(r int, c spCol) {
+	h.t.Helper()
+	rhs := make([]float64, h.m)
+	for i, row := range c.ind {
+		rhs[row] += c.val[i]
+	}
+	w := make([]float64, h.m)
+	h.blu.ftran(rhs, w)
+	if err := h.blu.push(r, w); err != nil {
+		h.t.Fatalf("push: %v", err)
+	}
+	h.cols[r] = c
+	for i := 0; i < h.m; i++ {
+		h.dense[i][r] = 0
+	}
+	for i, row := range c.ind {
+		h.dense[row][r] += c.val[i]
+	}
+}
+
 // TestSparseLUFactorSolve pins the LU kernel itself on a dense-ish
 // deterministic matrix: FTRAN and BTRAN must invert it to fine
 // precision, including through a chain of eta updates.
@@ -233,10 +316,6 @@ func TestSparseLUFactorSolve(t *testing.T) {
 	const m = 12
 	rng := rand.New(rand.NewSource(5))
 	cols := make([]spCol, m)
-	dense := make([][]float64, m) // dense[i][j]
-	for i := range dense {
-		dense[i] = make([]float64, m)
-	}
 	for j := 0; j < m; j++ {
 		for i := 0; i < m; i++ {
 			if rng.Float64() < 0.4 || i == j {
@@ -246,57 +325,14 @@ func TestSparseLUFactorSolve(t *testing.T) {
 				}
 				cols[j].ind = append(cols[j].ind, i)
 				cols[j].val = append(cols[j].val, v)
-				dense[i][j] = v
 			}
 		}
 	}
-	blu := newBasisLU(m)
-	if err := blu.refactor(func(k int) spCol { return cols[k] }); err != nil {
+	h := newLUHarness(t, rng, cols)
+	if err := h.refactor(); err != nil {
 		t.Fatalf("factor: %v", err)
 	}
-	matvec := func(x []float64) []float64 {
-		out := make([]float64, m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				out[i] += dense[i][j] * x[j]
-			}
-		}
-		return out
-	}
-	matvecT := func(x []float64) []float64 {
-		out := make([]float64, m)
-		for j := 0; j < m; j++ {
-			for i := 0; i < m; i++ {
-				out[j] += dense[i][j] * x[i]
-			}
-		}
-		return out
-	}
-	checkInverse := func(label string) {
-		t.Helper()
-		want := make([]float64, m)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		rhs := append([]float64(nil), matvec(want)...)
-		z := make([]float64, m)
-		blu.ftran(rhs, z)
-		for i := range z {
-			if math.Abs(z[i]-want[i]) > 1e-8 {
-				t.Fatalf("%s: ftran[%d] = %g, want %g", label, i, z[i], want[i])
-			}
-		}
-		rhsT := append([]float64(nil), matvecT(want)...)
-		// btran input is in position coordinates.
-		y := make([]float64, m)
-		blu.btran(rhsT, y)
-		for i := range y {
-			if math.Abs(y[i]-want[i]) > 1e-8 {
-				t.Fatalf("%s: btran[%d] = %g, want %g", label, i, y[i], want[i])
-			}
-		}
-	}
-	checkInverse("after factor")
+	h.checkInverse("after factor")
 	// Replace three columns through eta updates and re-verify.
 	for rep := 0; rep < 3; rep++ {
 		r := rng.Intn(m)
@@ -311,22 +347,292 @@ func TestSparseLUFactorSolve(t *testing.T) {
 				newCol.val = append(newCol.val, v)
 			}
 		}
-		rhs := make([]float64, m)
-		for i, row := range newCol.ind {
-			rhs[row] = newCol.val[i]
+		h.replace(r, newCol)
+		h.checkInverse("after eta")
+	}
+}
+
+// slackHeavyColumn returns a basis column anchored at row anchor: a
+// ±1 unit column with probability unitShare (a slack or artificial),
+// otherwise a structural column with a dominant anchor entry and a few
+// random off-anchor entries.
+func slackHeavyColumn(rng *rand.Rand, m, anchor int, unitShare float64) spCol {
+	if rng.Float64() < unitShare {
+		v := 1.0
+		if rng.Intn(2) == 0 {
+			v = -1
 		}
-		w := make([]float64, m)
-		blu.ftran(rhs, w)
-		if err := blu.push(r, w); err != nil {
-			t.Fatalf("push: %v", err)
+		return spCol{ind: []int{anchor}, val: []float64{v}}
+	}
+	c := spCol{ind: []int{anchor}, val: []float64{3 + rng.Float64()}}
+	seen := map[int]bool{anchor: true}
+	for e := rng.Intn(4); e >= 0; e-- {
+		i := rng.Intn(m)
+		if seen[i] {
+			continue
 		}
-		cols[r] = newCol
+		seen[i] = true
+		c.ind = append(c.ind, i)
+		c.val = append(c.val, rng.NormFloat64())
+	}
+	return c
+}
+
+// TestSparseLUSlackHeavy factors simplex-shaped bases — 60–90% unit
+// columns, the rest sparse structurals, in shuffled positions — and
+// checks FTRAN/BTRAN against the dense product through a full eta
+// chain, up to and past the refactor the chain triggers.
+func TestSparseLUSlackHeavy(t *testing.T) {
+	for _, m := range []int{12, 200} {
+		for trial := 0; trial < 3; trial++ {
+			rng := rand.New(rand.NewSource(int64(100*m + trial)))
+			unitShare := 0.6 + 0.3*rng.Float64()
+			// Position j is anchored at row anchor[j]; replacements keep
+			// the anchor, so every basis in the chain stays nonsingular.
+			anchor := rng.Perm(m)
+			cols := make([]spCol, m)
+			for j := range cols {
+				cols[j] = slackHeavyColumn(rng, m, anchor[j], unitShare)
+			}
+			h := newLUHarness(t, rng, cols)
+			label := func(what string) string {
+				return fmt.Sprintf("m=%d trial %d (unit share %.2f): %s", m, trial, unitShare, what)
+			}
+			if err := h.refactor(); err != nil {
+				t.Fatalf("%s", label(err.Error()))
+			}
+			h.checkInverse(label("after factor"))
+			for e := 1; e <= refactorEvery; e++ {
+				r := rng.Intn(m)
+				h.replace(r, slackHeavyColumn(rng, m, anchor[r], unitShare))
+				if e%8 == 0 || e == refactorEvery {
+					h.checkInverse(label(fmt.Sprintf("after %d etas", e)))
+				}
+			}
+			if !h.blu.needsRefactor() {
+				t.Fatalf("%s", label("full eta file does not ask for a refactor"))
+			}
+			if err := h.refactor(); err != nil {
+				t.Fatalf("%s", label("refactor: "+err.Error()))
+			}
+			h.checkInverse(label("after refactor"))
+		}
+	}
+}
+
+// TestSparseLUSingular requires errSingular for structurally singular
+// bases, and that the same factors then serve a nonsingular basis
+// (the failed attempt must leave no scratch behind).
+func TestSparseLUSingular(t *testing.T) {
+	const m = 8
+	rng := rand.New(rand.NewSource(11))
+	base := func() []spCol {
+		cols := make([]spCol, m)
+		for j := range cols {
+			cols[j] = slackHeavyColumn(rng, m, j, 0.5)
+		}
+		return cols
+	}
+	dup := base()
+	dup[5] = dup[2]
+	emptyRow := base()
+	for j := range emptyRow {
+		// Fold row 3 into row 4 in every column: nothing covers row 3.
+		c := spCol{}
+		for i, row := range emptyRow[j].ind {
+			if row == 3 {
+				row = 4
+			}
+			c.ind = append(c.ind, row)
+			c.val = append(c.val, emptyRow[j].val[i])
+		}
+		emptyRow[j] = c
+	}
+	blu := newBasisLU(m)
+	for name, cols := range map[string][]spCol{"duplicated column": dup, "empty row": emptyRow} {
+		if err := blu.refactor(func(k int) spCol { return cols[k] }); err != errSingular {
+			t.Fatalf("%s: refactor = %v, want errSingular", name, err)
+		}
+	}
+	h := newLUHarness(t, rng, base())
+	h.blu = blu
+	if err := h.refactor(); err != nil {
+		t.Fatalf("nonsingular basis after a singular one: %v", err)
+	}
+	h.checkInverse("after singular attempts")
+}
+
+// intervalShapedLP builds an LP with the structure of the interval-
+// indexed coflow relaxation (lpmodel's Eqs. 13–15): coflows with
+// random loads on 2·ports port constraints, geometric points τ_0 = 0,
+// τ_l = 2^(l−1), variables x_l^(k) from the first interval that fits
+// coflow k, one convexity row per coflow, and one cumulative load row
+// per port and interval that can bind.
+func intervalShapedLP(rng *rand.Rand, ports, coflows int) *Problem {
+	load := make([][]int64, coflows)
+	first := make([]int64, coflows) // the largest port load of coflow k
+	var horizon int64
+	for k := range load {
+		load[k] = make([]int64, 2*ports)
+		for f := rng.Intn(2 * ports); f >= 0; f-- {
+			size := 1 + rng.Int63n(60)
+			load[k][rng.Intn(ports)] += size
+			load[k][ports+rng.Intn(ports)] += size
+		}
+		for _, v := range load[k] {
+			first[k] = max(first[k], v)
+		}
+		horizon += first[k]
+	}
+	tau := []int64{0, 1}
+	for tau[len(tau)-1] < horizon {
+		tau = append(tau, 2*tau[len(tau)-1])
+	}
+	last := len(tau) - 1
+	lMin := make([]int, coflows)
+	varIdx := make([][]int, coflows)
+	numVars := 0
+	for k := range load {
+		l := 1
+		for tau[l] < first[k] {
+			l++
+		}
+		lMin[k] = l
+		varIdx[k] = make([]int, last+1)
+		for ; l <= last; l++ {
+			varIdx[k][l] = numVars
+			numVars++
+		}
+	}
+	p := NewProblem(numVars)
+	for k := range load {
+		w := float64(1 + rng.Intn(10))
+		var conv []Entry
+		for l := lMin[k]; l <= last; l++ {
+			p.SetObjective(varIdx[k][l], w*float64(tau[l-1]))
+			conv = append(conv, Entry{Var: varIdx[k][l], Coef: 1})
+		}
+		p.AddConstraint(conv, EQ, 1)
+	}
+	for port := 0; port < 2*ports; port++ {
+		var total int64
+		for k := range load {
+			total += load[k][port]
+		}
+		for l := 1; l <= last && total > tau[l]; l++ {
+			var entries []Entry
+			for k := range load {
+				for u := lMin[k]; u <= l && load[k][port] > 0; u++ {
+					entries = append(entries, Entry{Var: varIdx[k][u], Coef: float64(load[k][port])})
+				}
+			}
+			if len(entries) > 0 {
+				p.AddConstraint(entries, LE, float64(tau[l]))
+			}
+		}
+	}
+	return p
+}
+
+// naturalOrderFill factors the basis with plain partial pivoting in
+// basis-position order (dense right-looking elimination) and returns
+// nnz(L)+nnz(U) off the diagonal: the fill the factorization had
+// before columns were reordered and pivots chosen for sparsity, or -1
+// for a singular basis.
+func naturalOrderFill(cols []spCol) int {
+	m := len(cols)
+	a := make([][]float64, m)
+	for i := range a {
+		a[i] = make([]float64, m)
+	}
+	for j, c := range cols {
+		for i, row := range c.ind {
+			a[row][j] += c.val[i]
+		}
+	}
+	pivoted := make([]bool, m)
+	nnz := 0
+	var right []int
+	for k := 0; k < m; k++ {
+		piv, pivMag := -1, 0.0
 		for i := 0; i < m; i++ {
-			dense[i][r] = 0
+			if !pivoted[i] && math.Abs(a[i][k]) > pivMag {
+				piv, pivMag = i, math.Abs(a[i][k])
+			}
 		}
-		for i, row := range newCol.ind {
-			dense[row][r] = newCol.val[i]
+		if piv < 0 {
+			return -1
 		}
-		checkInverse("after eta")
+		pivoted[piv] = true
+		right = right[:0]
+		for c := k + 1; c < m; c++ {
+			if a[piv][c] != 0 {
+				right = append(right, c)
+			}
+		}
+		nnz += len(right) // U row k
+		for i := 0; i < m; i++ {
+			if pivoted[i] || a[i][k] == 0 {
+				continue
+			}
+			mult := a[i][k] / a[piv][k]
+			nnz++ // L entry
+			for _, c := range right {
+				a[i][c] -= mult * a[piv][c]
+			}
+		}
+	}
+	return nnz
+}
+
+// TestSparseLUFillBelowNaturalOrder solves an m=50-port interval-
+// shaped LP to its final basis and requires the factorization's
+// nnz(L)+nnz(U) to stay below what natural-order partial pivoting
+// gives on the same basis, so a fill regression fails here. The bound
+// is three quarters of the natural fill (the reordered factors need
+// about half): natural order itself lands within roundoff of the
+// reference and must fail by a clear margin, not by luck.
+func TestSparseLUFillBelowNaturalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	p := intervalShapedLP(rng, 50, 40)
+	ps, err := Presolve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Decided() {
+		t.Fatalf("presolve decided the LP (%v); nothing left to factor", ps.Status())
+	}
+	r := newRevised(ps.Reduced())
+	sol, err := r.solve()
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v, want optimal", sol.Status)
+	}
+	basis := make([]spCol, r.m)
+	structural := 0
+	for k := range basis {
+		basis[k] = r.basisCol(k)
+		if len(basis[k].ind) > 1 {
+			structural++
+		}
+	}
+	f := newLU(r.m)
+	if err := f.factor(func(k int) spCol { return basis[k] }); err != nil {
+		t.Fatalf("factor final basis: %v", err)
+	}
+	fill := len(f.lInd) + len(f.uInd)
+	natural := naturalOrderFill(basis)
+	if natural < 0 {
+		t.Fatal("natural-order reference found the final basis singular")
+	}
+	t.Logf("final basis: m=%d, %d multi-entry columns; nnz(L)+nnz(U) = %d, natural order %d",
+		r.m, structural, fill, natural)
+	if structural < r.m/10 {
+		t.Fatalf("final basis has only %d multi-entry columns of %d; the LP is too easy to test fill", structural, r.m)
+	}
+	if 4*fill > 3*natural {
+		t.Fatalf("nnz(L)+nnz(U) = %d exceeds 3/4 of natural-order factoring's %d", fill, natural)
 	}
 }

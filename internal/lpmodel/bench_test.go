@@ -6,6 +6,7 @@ package lpmodel
 // instance the sparse-pipeline speedup claim is measured on; dense at
 // that size runs seconds per solve, which is exactly the pain the
 // sparse path removes — keep it in the gate so the ratio stays honest.
+// The m=150 sparse row tracks the paper-scale solve itself.
 
 import (
 	"testing"
@@ -46,3 +47,8 @@ func BenchmarkLPSolveDense50(b *testing.B)   { benchLPSolve(b, 50, lp.MethodDens
 func BenchmarkLPSolveSparse50(b *testing.B)  { benchLPSolve(b, 50, lp.MethodSparse) }
 func BenchmarkLPSolveDense100(b *testing.B)  { benchLPSolve(b, 100, lp.MethodDense) }
 func BenchmarkLPSolveSparse100(b *testing.B) { benchLPSolve(b, 100, lp.MethodSparse) }
+
+// BenchmarkLPSolveSparse150 is the paper's own scale (trace.DefaultConfig
+// shape: m=150, n=300), the solve H_LP ordering pays per instance. It
+// has no dense twin: the tableau takes tens of seconds per solve here.
+func BenchmarkLPSolveSparse150(b *testing.B) { benchLPSolve(b, 150, lp.MethodSparse) }

@@ -15,6 +15,7 @@ import (
 
 	"coflow/internal/coflowmodel"
 	"coflow/internal/lp"
+	"coflow/internal/obs"
 	"coflow/internal/trace"
 )
 
@@ -50,7 +51,13 @@ func sweepConfigs(short bool) []trace.Config {
 // TestIntervalLPSparseVsDenseSweep covers 180 real interval-LP
 // instances (plus the time-indexed sweep below, completing the
 // 1000-instance differential budget with internal/lp's random half).
+//
+// No sparse solve may fall back to the dense oracle: a silent fallback
+// would hide an LU breakdown (and cost 10× at paper scale).
 func TestIntervalLPSparseVsDenseSweep(t *testing.T) {
+	o := lp.NewObs(obs.NewRegistry())
+	lp.SetObs(o)
+	defer lp.SetObs(lp.Obs{})
 	cfgs := sweepConfigs(testing.Short())
 	for _, cfg := range cfgs {
 		ins := trace.MustGenerate(cfg)
@@ -73,6 +80,12 @@ func TestIntervalLPSparseVsDenseSweep(t *testing.T) {
 		if len(sparse.Order) != len(dense.Order) {
 			t.Fatalf("m=%d n=%d: order lengths differ", cfg.Ports, cfg.NumCoflows)
 		}
+	}
+	if o.SparseSolves.Value() == 0 {
+		t.Error("the installed registry counted no sparse solves")
+	}
+	if n := o.SparseFallbacks.Value(); n != 0 {
+		t.Errorf("%d of %d sparse solves fell back to the dense solver", n, o.SparseSolves.Value())
 	}
 }
 
