@@ -1,7 +1,7 @@
 # Standard developer entry points. Everything is stdlib-only Go; no
 # tools beyond the toolchain are required.
 
-.PHONY: build test check lint lintfix-audit escapecheck escapebaseline slowcheck loadtest scenarios bench bench-baseline bench-all
+.PHONY: build test check lint lintfix-audit escapecheck escapebaseline slowcheck loadtest scenarios perfbenchcheck bench bench-baseline bench-all
 
 build:
 	go build ./...
@@ -14,8 +14,9 @@ test:
 # and the escape-analysis gate fail in seconds with file:line
 # diagnostics, so they run before vet, the race suites, the
 # differential-oracle sweep and churn soak (slowcheck), the scenario
-# smoke (scenarios) and the Step perf regression gate (bench).
-check: lint escapecheck slowcheck scenarios loadtest bench
+# smoke (scenarios), the end-to-end benchmark's own build and tests
+# (perfbenchcheck) and the Step perf regression gate (bench).
+check: lint escapecheck slowcheck scenarios loadtest perfbenchcheck bench
 	go vet -unsafeptr ./...
 	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/...
 
@@ -73,6 +74,13 @@ loadtest:
 scenarios:
 	go test -run='TestBuiltinsReplayClean|TestChurnShadowReplay' -count=1 ./internal/scenario/
 	go run ./cmd/coflowload -selftest -shards 2 -scenario churn-cancel -tick 2ms
+
+# perfbench is its own Go module (replace coflow => ../), so the root
+# `go build ./... && go test ./...` never compiles it: a rename of a
+# daemon/shard/lpmodel name it imports would otherwise surface only
+# when the benchmark runs. Vet and test it here (~30 s).
+perfbenchcheck:
+	cd perfbench && go vet ./... && go test ./...
 
 # Tracked perf benchmarks, compare-only: runs the per-slot pipeline
 # (Step), BvN decomposition, and LP solve benches 3×, joins the per-benchmark

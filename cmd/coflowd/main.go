@@ -110,13 +110,13 @@ func main() {
 	}
 
 	cfg := shard.Config{
-		Shards: *shards,
+		Shards:  *shards,
+		MaxBody: *maxBody,
 		Fabric: daemon.Config{
 			Ports:          *ports,
 			Policy:         policy,
 			Tick:           *tick,
 			Deadline:       *deadline,
-			MaxBody:        *maxBody,
 			Window:         *window,
 			SnapshotPath:   *snapshot,
 			SelfCheck:      *selfCheck,

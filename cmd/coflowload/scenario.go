@@ -59,11 +59,10 @@ type scenarioReport struct {
 	WeightedResponse float64 `json:"weighted_response"`
 }
 
-// replayScenario drives the script against a live control plane —
-// single-fabric coflowd and the sharded frontend speak the same
-// contract. Script slots are paced at one tick each; script keys map
-// to server-assigned IDs so re-registered keys become fresh server
-// coflows.
+// replayScenario drives the script against a live coflowd control
+// plane, whatever its fabric count. Script slots are paced at one
+// tick each; script keys map to server-assigned IDs so re-registered
+// keys become fresh server coflows.
 func replayScenario(client *http.Client, base string, script *scenario.Script, tick time.Duration) *scenarioReport {
 	rep := &scenarioReport{Scenario: script.Name, Events: len(script.Events)}
 	ids := map[int]int{} // script key -> live server id

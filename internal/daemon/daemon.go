@@ -2,8 +2,9 @@
 // service: the "works in real time in a real system" operation the
 // paper's concluding discussion asks for. It owns a virtual m×m
 // switch whose live state is an online.State, advances it slot by
-// slot on a tick, and exposes an HTTP/JSON control plane (see http.go)
-// for registering, inspecting and cancelling coflows.
+// slot on a tick, and accepts registrations, cancellations and port
+// failures as commands. The HTTP/JSON control plane that serves one or
+// more daemons lives in internal/shard.
 //
 // Concurrency model — single writer, snapshot readers:
 //
@@ -76,8 +77,6 @@ type Config struct {
 	// degrades the policy to FIFO (see package comment). Zero
 	// disables the guard.
 	Deadline time.Duration
-	// MaxBody caps request bodies in bytes; zero means 1 MiB.
-	MaxBody int64
 	// SnapshotPath, if non-empty, is where Close writes the final
 	// state snapshot as JSON.
 	SnapshotPath string
@@ -121,7 +120,27 @@ type CoflowStatus struct {
 	Slowdown float64 `json:"slowdown,omitempty"`
 }
 
-// Metrics is the live observability payload of GET /v1/metrics.
+// BulkItem is one per-item result of a bulk POST /v1/coflows,
+// index-aligned with the request array.
+type BulkItem struct {
+	Index   int    `json:"index"`
+	ID      int    `json:"id,omitempty"`
+	Release int64  `json:"release,omitempty"`
+	Fabric  int    `json:"fabric"`
+	Error   string `json:"error,omitempty"`
+	Kind    string `json:"kind,omitempty"`
+}
+
+// BulkResponse is the body of a bulk POST /v1/coflows: per-item
+// results plus the accepted/rejected split.
+type BulkResponse struct {
+	Results []BulkItem `json:"results"`
+	OK      int        `json:"ok"`
+	Failed  int        `json:"failed"`
+}
+
+// Metrics is one fabric's live observability payload, served as
+// per_shard[i].metrics of GET /v1/metrics.
 type Metrics struct {
 	Slot          int64   `json:"slot"`
 	Ticks         int64   `json:"ticks"`
@@ -234,31 +253,27 @@ const (
 )
 
 type command struct {
-	// exactly one of reg, tick, portOp, or cancel is set
-	reg    *coflowmodel.Registration
-	cancel int  // coflow ID, when > 0 and reg == nil
-	tick   bool // advance one slot
+	// reg, tick or portOp selects the command; with none set it
+	// cancels coflow id.
+	reg  *coflowmodel.Registration
+	id   int  // coflow ID to register (with reg) or cancel
+	tick bool // advance one slot
 
 	// port, with portOp set, is the port to fail or recover.
 	port   int
 	portOp portOp
 
-	// forceID, when > 0 with reg set, is the caller-chosen coflow ID
-	// (the shard router assigns cluster-unique IDs); 0 lets the loop
-	// assign the next sequential one.
-	forceID int
-
 	reply chan reply // nil for fire-and-forget ticker ticks
 }
 
 type reply struct {
-	id      int   // assigned coflow ID (register)
 	release int64 // assigned release slot (register)
 	err     error
 }
 
-// Daemon is a resident coflow scheduler. Create with New, serve its
-// Handler, and Close it to shut down.
+// Daemon is a resident coflow scheduler. Create with New, drive it
+// through Register, Cancel and the port and tick commands (a
+// shard.Cluster serves it over HTTP), and Close it to shut down.
 type Daemon struct {
 	cfg  config
 	obs  *daemonObs
@@ -288,9 +303,6 @@ func New(cfg Config) (*Daemon, error) {
 	default:
 		return nil, fmt.Errorf("daemon: unknown policy %v", cfg.Policy)
 	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 1 << 20
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
 	}
@@ -318,30 +330,20 @@ func New(cfg Config) (*Daemon, error) {
 // returned value is shared and must not be mutated.
 func (d *Daemon) Snapshot() *Snapshot { return d.snap.Load() }
 
-// Register submits a coflow registration. It returns the assigned ID
-// and release slot; the coflow is released "now" (eligible from the
-// next slot).
-func (d *Daemon) Register(reg *coflowmodel.Registration) (id int, release int64, err error) {
-	if err := reg.Validate(d.cfg.Ports); err != nil {
-		return 0, 0, err
-	}
-	r, err := d.send(command{reg: reg})
-	return r.id, r.release, err
-}
-
-// RegisterWithID submits a registration under a caller-chosen positive
-// ID instead of the daemon's own sequence. A sharded cluster uses this
-// to hand out cluster-unique IDs while each fabric keeps its local
-// single-writer loop. It fails if the ID was ever used on this daemon
-// (live, completed, or cancelled).
-func (d *Daemon) RegisterWithID(id int, reg *coflowmodel.Registration) (release int64, err error) {
+// Register submits a coflow registration under a caller-chosen
+// positive ID; a sharded cluster hands out cluster-unique IDs while
+// each fabric keeps its local single-writer loop. It returns the
+// release slot: the coflow is released "now" (eligible from the next
+// slot). It fails if the ID was ever used on this daemon (live,
+// completed, or cancelled).
+func (d *Daemon) Register(id int, reg *coflowmodel.Registration) (release int64, err error) {
 	if id <= 0 {
 		return 0, fmt.Errorf("daemon: non-positive coflow id %d", id)
 	}
 	if err := reg.Validate(d.cfg.Ports); err != nil {
 		return 0, err
 	}
-	r, err := d.send(command{reg: reg, forceID: id})
+	r, err := d.send(command{reg: reg, id: id})
 	return r.release, err
 }
 
@@ -356,7 +358,7 @@ func (d *Daemon) MetricsRegistry() *obs.Registry { return d.obs.reg }
 // Cancel cancels the live coflow with the given ID. It fails if the
 // ID is unknown or the coflow already completed.
 func (d *Daemon) Cancel(id int) error {
-	_, err := d.send(command{cancel: id})
+	_, err := d.send(command{id: id})
 	return err
 }
 
@@ -484,7 +486,6 @@ func (d *Daemon) loop() {
 	coflows := map[int]*coflowInfo{}
 	var (
 		slot         int64
-		nextID       = 1
 		ticks        int64
 		registered   int64
 		completedN   int64
@@ -698,20 +699,12 @@ func (d *Daemon) loop() {
 	handle := func(c command) reply {
 		switch {
 		case c.reg != nil:
-			id := c.forceID
-			if id == 0 {
-				id = nextID
-				nextID++
-			} else {
-				// Caller-chosen IDs (the shard router's cluster-unique
-				// sequence) must never collide with anything this fabric
-				// has seen, live or terminal.
-				if _, exists := coflows[id]; exists {
-					return reply{err: fmt.Errorf("daemon: duplicate coflow id %d", id)}
-				}
-				if id >= nextID {
-					nextID = id + 1
-				}
+			// Caller-chosen IDs (the shard router's cluster-unique
+			// sequence) must never collide with anything this fabric has
+			// seen, live or terminal.
+			id := c.id
+			if _, exists := coflows[id]; exists {
+				return reply{err: fmt.Errorf("daemon: duplicate coflow id %d", id)}
 			}
 			cf := c.reg.Coflow(id, slot)
 			remaining, err := state.Add(id, cf.Weight, cf.Release, cf.Flows)
@@ -740,7 +733,7 @@ func (d *Daemon) loop() {
 					}
 				}
 			}
-			return reply{id: id, release: slot}
+			return reply{release: slot}
 
 		case c.tick:
 			policy := d.cfg.Policy
@@ -820,15 +813,15 @@ func (d *Daemon) loop() {
 			return reply{}
 
 		default: // cancel
-			ci, ok := coflows[c.cancel]
+			ci, ok := coflows[c.id]
 			if !ok {
-				return reply{err: fmt.Errorf("%w %d", ErrUnknownCoflow, c.cancel)}
+				return reply{err: fmt.Errorf("%w %d", ErrUnknownCoflow, c.id)}
 			}
 			if ci.cancelled {
-				return reply{err: fmt.Errorf("%w: coflow %d already cancelled", ErrTerminalCoflow, c.cancel)}
+				return reply{err: fmt.Errorf("%w: coflow %d already cancelled", ErrTerminalCoflow, c.id)}
 			}
 			if ci.completed >= 0 {
-				return reply{err: fmt.Errorf("%w: coflow %d already completed", ErrTerminalCoflow, c.cancel)}
+				return reply{err: fmt.Errorf("%w: coflow %d already completed", ErrTerminalCoflow, c.id)}
 			}
 			if planner != nil {
 				// The unserved remainder must leave the plan too; read it
@@ -840,18 +833,18 @@ func (d *Daemon) loop() {
 				// externally clocked daemon). The refresh is the
 				// Decomposer's cheap incremental Update unless a
 				// registration is also pending.
-				if err := planner.Shed(state.Demand(c.cancel)); err != nil {
+				if err := planner.Shed(state.Demand(c.id)); err != nil {
 					planFail(err)
 				} else if _, err := planner.Plan(); err != nil {
 					planFail(err)
 				}
 			}
-			state.Remove(c.cancel)
+			state.Remove(c.id)
 			if mon != nil {
-				mon.Remove(c.cancel)
+				mon.Remove(c.id)
 			}
 			ci.cancelled = true
-			touched = append(touched, c.cancel)
+			touched = append(touched, c.id)
 			cancelledN++
 			d.obs.cancelled.Inc()
 			return reply{}

@@ -34,7 +34,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 func TestRegisterTickComplete(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF})
-	id, release, err := d.Register(&coflowmodel.Registration{
+	release, err := d.Register(1, &coflowmodel.Registration{
 		Weight: 2,
 		Flows: []coflowmodel.Flow{
 			{Src: 0, Dst: 0, Size: 1}, {Src: 0, Dst: 1, Size: 2},
@@ -44,8 +44,8 @@ func TestRegisterTickComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 1 || release != 0 {
-		t.Fatalf("Register = (%d, %d), want (1, 0)", id, release)
+	if release != 0 {
+		t.Fatalf("release = %d, want 0", release)
 	}
 	cs := d.Snapshot().Coflows.Get(1)
 	if cs == nil || cs.State != "active" || cs.Remaining != 6 || cs.Load != 3 {
@@ -85,7 +85,8 @@ func TestZeroDemandCompletesAtRelease(t *testing.T) {
 	if err := d.Tick(); err != nil { // move the clock so release is non-zero
 		t.Fatal(err)
 	}
-	id, release, err := d.Register(&coflowmodel.Registration{})
+	const id = 1
+	release, err := d.Register(id, &coflowmodel.Registration{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestZeroDemandCompletesAtRelease(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2})
-	_, _, err := d.Register(&coflowmodel.Registration{
+	_, err := d.Register(1, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 5, Dst: 0, Size: 1}},
 	})
 	if err == nil {
@@ -111,15 +112,59 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	d := newTestDaemon(t, Config{Ports: 1})
-	hog, _, err := d.Register(&coflowmodel.Registration{
-		Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1000}},
-	})
-	if err != nil {
+// TestRegisterRejectsReusedID: the caller chooses coflow IDs, and a
+// fabric refuses one it has ever seen — while the coflow is live,
+// after it completed, and after it was cancelled — as well as any
+// non-positive ID. A refused registration changes nothing.
+func TestRegisterRejectsReusedID(t *testing.T) {
+	d := newTestDaemon(t, Config{Ports: 2})
+	const live, completed, cancelled = 1, 2, 3
+	for id, f := range map[int]coflowmodel.Flow{
+		live:      {Src: 0, Dst: 0, Size: 100},
+		completed: {Src: 1, Dst: 1, Size: 1},
+		cancelled: {Src: 0, Dst: 1, Size: 5},
+	} {
+		if _, err := d.Register(id, &coflowmodel.Registration{Flows: []coflowmodel.Flow{f}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Cancel(cancelled); err != nil {
 		t.Fatal(err)
 	}
-	small, _, err := d.Register(&coflowmodel.Registration{
+	if err := d.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{live: "active", completed: "completed", cancelled: "cancelled"}
+	for id, state := range want {
+		if cs := d.Snapshot().Coflows.Get(id); cs == nil || cs.State != state {
+			t.Fatalf("coflow %d = %+v, want state %s", id, cs, state)
+		}
+	}
+	for _, id := range []int{live, completed, cancelled, 0, -1} {
+		reg := &coflowmodel.Registration{Flows: []coflowmodel.Flow{{Src: 1, Dst: 0, Size: 1}}}
+		if _, err := d.Register(id, reg); err == nil {
+			t.Errorf("Register(%d) accepted", id)
+		}
+	}
+	for id, state := range want {
+		if cs := d.Snapshot().Coflows.Get(id); cs.State != state {
+			t.Errorf("coflow %d state %s after refused reuse, want %s", id, cs.State, state)
+		}
+	}
+	if m := d.Snapshot().Metrics; m.Registered != 3 || m.ActiveCoflows != 1 {
+		t.Fatalf("refused registrations counted: registered %d, active %d", m.Registered, m.ActiveCoflows)
+	}
+}
+
+func TestCancel(t *testing.T) {
+	d := newTestDaemon(t, Config{Ports: 1})
+	const hog, small = 1, 2
+	if _, err := d.Register(hog, &coflowmodel.Registration{
+		Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1000}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := d.Register(small, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1}},
 	})
 	if err != nil {
@@ -156,7 +201,7 @@ func TestCancel(t *testing.T) {
 func TestScheduleSnapshotIsAMatching(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.WSPT})
 	for i := 0; i < 3; i++ {
-		_, _, err := d.Register(&coflowmodel.Registration{
+		_, err := d.Register(i+1, &coflowmodel.Registration{
 			Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 2}, {Src: 1, Dst: 1, Size: 2}},
 		})
 		if err != nil {
@@ -185,7 +230,7 @@ func TestDeadlineDegradesToFIFO(t *testing.T) {
 	// daemon, and with degradeHold consecutive sub-nanosecond ticks
 	// being impossible it stays degraded.
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, Deadline: time.Nanosecond})
-	if _, _, err := d.Register(&coflowmodel.Registration{
+	if _, err := d.Register(1, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 0, Dst: 1, Size: 100}},
 	}); err != nil {
 		t.Fatal(err)
@@ -224,7 +269,7 @@ func TestClosedDaemonRefusesCommands(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Register(&coflowmodel.Registration{}); err != ErrClosed {
+	if _, err := d.Register(1, &coflowmodel.Registration{}); err != ErrClosed {
 		t.Fatalf("Register after Close: %v", err)
 	}
 	if err := d.Tick(); err != ErrClosed {
@@ -266,7 +311,8 @@ func TestConcurrentRegistrationsAndReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				id, _, err := d.Register(&coflowmodel.Registration{
+				id := w*perWriter + i + 1
+				_, err := d.Register(id, &coflowmodel.Registration{
 					Weight: 1 + float64(i%3),
 					Flows:  []coflowmodel.Flow{{Src: i % 4, Dst: (i + 1) % 4, Size: 3}},
 				})
@@ -346,7 +392,7 @@ func TestConcurrentRegistrationsAndReads(t *testing.T) {
 
 func TestPlanTracksBacklog(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, Plan: true})
-	if _, _, err := d.Register(&coflowmodel.Registration{
+	if _, err := d.Register(1, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{
 			{Src: 0, Dst: 0, Size: 1}, {Src: 0, Dst: 1, Size: 2},
 			{Src: 1, Dst: 0, Size: 2}, {Src: 1, Dst: 1, Size: 1},
@@ -388,10 +434,10 @@ func TestPlanTracksBacklog(t *testing.T) {
 
 func TestPlanShedsCancelledDemand(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, Plan: true})
-	id, _, err := d.Register(&coflowmodel.Registration{
+	const id = 1
+	if _, err := d.Register(id, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 0, Dst: 1, Size: 5}},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Tick(); err != nil { // one unit served, plan primed

@@ -2,8 +2,6 @@ package daemon
 
 import (
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,103 +11,6 @@ import (
 	"coflow/internal/online"
 )
 
-// apiError is the structured error body every non-2xx response carries.
-type apiError struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
-// TestHTTPStatusCodes pins one handler test per hardened status code:
-// structured 400 for malformed JSON vs validation failures, 405 (not
-// 404) with an Allow header for wrong methods, 413 for oversized
-// bodies — all with machine-readable kinds.
-func TestHTTPStatusCodes(t *testing.T) {
-	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, MaxBody: 256})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-	client := srv.Client()
-
-	t.Run("400 malformed JSON", func(t *testing.T) {
-		var e apiError
-		code := doJSON(t, client, "POST", srv.URL+"/v1/coflows", `{"flows": [`, &e)
-		if code != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", code)
-		}
-		if e.Kind != "malformed_json" || e.Error == "" {
-			t.Fatalf("body %+v, want kind malformed_json", e)
-		}
-	})
-
-	t.Run("400 validation", func(t *testing.T) {
-		var e apiError
-		code := doJSON(t, client, "POST", srv.URL+"/v1/coflows",
-			`{"flows": [{"src": 9, "dst": 0, "size": 1}]}`, &e)
-		if code != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", code)
-		}
-		if e.Kind != "validation" {
-			t.Fatalf("body %+v, want kind validation", e)
-		}
-	})
-
-	t.Run("413 oversized body", func(t *testing.T) {
-		big := `{"flows": [` + strings.Repeat(`{"src":0,"dst":0,"size":1},`, 100) +
-			`{"src":0,"dst":0,"size":1}]}`
-		var e apiError
-		code := doJSON(t, client, "POST", srv.URL+"/v1/coflows", big, &e)
-		if code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("status %d, want 413", code)
-		}
-		if e.Kind != "too_large" {
-			t.Fatalf("body %+v, want kind too_large", e)
-		}
-	})
-
-	t.Run("405 wrong method", func(t *testing.T) {
-		for path, method := range map[string]string{
-			"/v1/coflows":   "PUT",
-			"/v1/coflows/1": "POST",
-			"/v1/schedule":  "DELETE",
-			"/v1/metrics":   "POST",
-			"/healthz":      "DELETE",
-		} {
-			var e apiError
-			req, err := http.NewRequest(method, srv.URL+path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allow := resp.Header.Get("Allow")
-			decErr := json.NewDecoder(resp.Body).Decode(&e)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusMethodNotAllowed {
-				t.Errorf("%s %s: status %d, want 405", method, path, resp.StatusCode)
-				continue
-			}
-			if decErr != nil || e.Kind != "method_not_allowed" {
-				t.Errorf("%s %s: body %+v (%v), want structured method_not_allowed", method, path, e, decErr)
-			}
-			if allow == "" || !strings.Contains(allow, "GET") {
-				t.Errorf("%s %s: Allow header %q", method, path, allow)
-			}
-		}
-	})
-
-	t.Run("404 unknown path still 404", func(t *testing.T) {
-		resp, err := client.Get(srv.URL + "/v1/nope")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status %d, want 404", resp.StatusCode)
-		}
-	})
-}
-
 // TestSelfCheckCleanRun: a full register→tick→complete lifecycle under
 // -selfcheck with every tick validated reports zero violations, and
 // the metrics advertise the monitor.
@@ -118,10 +19,10 @@ func TestSelfCheckCleanRun(t *testing.T) {
 	reg := &coflowmodel.Registration{Weight: 2, Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 3}, {Src: 0, Dst: 1, Size: 2}, {Src: 1, Dst: 1, Size: 1},
 	}}
-	if _, _, err := d.Register(reg); err != nil {
+	if _, err := d.Register(1, reg); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	if _, err := d.Register(2, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 1, Dst: 0, Size: 4},
 	}}); err != nil {
 		t.Fatal(err)
@@ -148,16 +49,15 @@ func TestSelfCheckCleanRun(t *testing.T) {
 // does).
 func TestSelfCheckCancelledCoflow(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 1, Policy: online.FIFO, SelfCheck: true, SelfCheckEvery: 1})
-	id, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	const id, id2 = 1, 2
+	if _, err := d.Register(id, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 10},
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	id2, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	if _, err := d.Register(id2, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 2},
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Tick(); err != nil {
@@ -185,7 +85,7 @@ func TestSelfCheckCancelledCoflow(t *testing.T) {
 // stays clean end to end.
 func TestSelfCheckSampling(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.WSPT, SelfCheck: true, SelfCheckEvery: 3})
-	if _, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	if _, err := d.Register(1, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 1, Size: 7}, {Src: 1, Dst: 0, Size: 5},
 	}}); err != nil {
 		t.Fatal(err)
@@ -215,7 +115,7 @@ func TestSnapshotWriteIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	if _, err := d.Register(1, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 1},
 	}}); err != nil {
 		t.Fatal(err)

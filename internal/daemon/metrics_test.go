@@ -2,31 +2,23 @@ package daemon
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
 	"coflow/internal/coflowmodel"
-	"coflow/internal/obs"
 	"coflow/internal/online"
 )
 
-// scrape GETs path and returns the response and body.
-func scrape(t *testing.T, srv *httptest.Server, path string) (*http.Response, string) {
+// scrape renders the daemon's metrics registry in the Prometheus text
+// exposition format, as the cluster's GET /metrics does per fabric.
+func scrape(t *testing.T, d *Daemon) string {
 	t.Helper()
-	resp, err := srv.Client().Get(srv.URL + path)
-	if err != nil {
+	var b strings.Builder
+	if err := d.MetricsRegistry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, string(body)
+	return b.String()
 }
 
 // promValue extracts the value of an unlabelled sample line
@@ -52,11 +44,11 @@ func promValue(t *testing.T, body, name string) float64 {
 // complete, returning the number of ticks driven.
 func runSomeTraffic(t *testing.T, d *Daemon) int {
 	t.Helper()
-	for _, flows := range [][]coflowmodel.Flow{
+	for i, flows := range [][]coflowmodel.Flow{
 		{{Src: 0, Dst: 0, Size: 2}, {Src: 0, Dst: 1, Size: 1}, {Src: 1, Dst: 1, Size: 2}},
 		{{Src: 1, Dst: 0, Size: 3}},
 	} {
-		if _, _, err := d.Register(&coflowmodel.Registration{Weight: 1, Flows: flows}); err != nil {
+		if _, err := d.Register(i+1, &coflowmodel.Registration{Weight: 1, Flows: flows}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,23 +61,14 @@ func runSomeTraffic(t *testing.T, d *Daemon) int {
 	return ticks
 }
 
-// TestPrometheusScrape: GET /metrics serves the registry in the text
-// exposition format — correct content-type, HELP/TYPE metadata, stage
-// histograms fed by real ticks, and the warm-start counters the
-// replay fast path maintains.
+// TestPrometheusScrape: the registry renders in the text exposition
+// format — HELP/TYPE metadata, stage histograms fed by real ticks, and
+// the warm-start counters the replay fast path maintains.
 func TestPrometheusScrape(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, SelfCheck: true, SelfCheckEvery: 1})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
 	ticks := runSomeTraffic(t, d)
 
-	resp, body := scrape(t, srv, "/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
-		t.Errorf("content-type %q, want %q", ct, obs.PrometheusContentType)
-	}
+	body := scrape(t, d)
 
 	// Metadata lines for a representative stage histogram.
 	for _, want := range []string{
@@ -143,62 +126,35 @@ func TestPrometheusScrape(t *testing.T) {
 // in the tick handler, exercised by the clean-run assertions.)
 func TestPrometheusSelfCheckCounter(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.WSPT, SelfCheck: true, SelfCheckEvery: 1})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
 	runSomeTraffic(t, d)
 
-	_, body := scrape(t, srv, "/metrics")
+	body := scrape(t, d)
 	if got := promValue(t, body, "coflowd_self_check_violations_total"); got != 0 {
 		t.Fatalf("clean run scraped %v violations, want 0", got)
 	}
 
 	d.obs.selfCheckViolations.Add(3)
-	_, body = scrape(t, srv, "/metrics")
+	body = scrape(t, d)
 	if got := promValue(t, body, "coflowd_self_check_violations_total"); got != 3 {
 		t.Errorf("after flagging, scraped %v violations, want 3", got)
 	}
 }
 
-// TestPrometheusMethodNotAllowed: wrong methods on /metrics get the
-// structured 405 with an Allow header, like every other route.
-func TestPrometheusMethodNotAllowed(t *testing.T) {
+// TestEnrichedMetricsJSON: the JSON metrics payload carries the
+// per-coflow wait/service breakdowns, the per-stage latency snapshots,
+// and the matcher warm-start hit rate.
+func TestEnrichedMetricsJSON(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
+	ticks := runSomeTraffic(t, d)
 
-	resp, err := srv.Client().Post(srv.URL+"/metrics", "text/plain", strings.NewReader(""))
+	raw, err := json.Marshal(d.Snapshot().Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /metrics = %d, want 405", resp.StatusCode)
-	}
-	if allow := resp.Header.Get("Allow"); allow != "GET" {
-		t.Errorf("Allow = %q, want GET", allow)
-	}
-	var e struct{ Kind string }
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Kind != "method_not_allowed" {
-		t.Errorf("error body kind = %q (err %v), want method_not_allowed", e.Kind, err)
-	}
-}
-
-// TestEnrichedMetricsJSON: /v1/metrics carries the per-coflow
-// wait/service breakdowns, the per-stage latency snapshots, and the
-// matcher warm-start hit rate.
-func TestEnrichedMetricsJSON(t *testing.T) {
-	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-	ticks := runSomeTraffic(t, d)
-
-	resp, body := scrape(t, srv, "/v1/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/metrics = %d, want 200", resp.StatusCode)
-	}
+	body := string(raw)
 	var m Metrics
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("unmarshal /v1/metrics: %v", err)
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("unmarshal metrics: %v", err)
 	}
 	if m.Completed != 2 {
 		t.Fatalf("completed = %d, want 2", m.Completed)

@@ -39,11 +39,11 @@ func planState(t *testing.T, d *Daemon) (load int64, terms int) {
 // Pre-fix, this test fails with PlanLoad=9 after the cancel.
 func TestCancelRefreshesPlan(t *testing.T) {
 	d := planDaemon(t, 4)
-	id, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	const id = 1
+	if _, err := d.Register(id, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 1, Size: 10},
 		{Src: 1, Dst: 2, Size: 7},
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Tick(); err != nil {
@@ -120,11 +120,10 @@ func TestCancelPlanInterleavings(t *testing.T) {
 		for oi, o := range script {
 			switch o.kind {
 			case "reg":
-				id, _, err := d.Register(&coflowmodel.Registration{Flows: o.reg})
-				if err != nil {
+				ids[oi] = oi + 1
+				if _, err := d.Register(ids[oi], &coflowmodel.Registration{Flows: o.reg}); err != nil {
 					t.Fatal(err)
 				}
-				ids[oi] = id
 				for _, f := range o.reg {
 					truth[f.Src][f.Dst] += f.Size
 				}
@@ -162,10 +161,10 @@ func TestCancelPlanInterleavings(t *testing.T) {
 // command must already see a plan without the cancelled demand.
 func TestCancelPlanBatchedWithTick(t *testing.T) {
 	d := planDaemon(t, 3)
-	id, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	const id = 1
+	if _, err := d.Register(id, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 1, Size: 8},
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	// Queue tick+cancel back-to-back without waiting: the loop may

@@ -1,9 +1,9 @@
-package daemon
+package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,76 +13,46 @@ import (
 	"time"
 
 	"coflow/internal/coflowmodel"
+	"coflow/internal/daemon"
 	"coflow/internal/online"
 )
 
-// doJSON issues a request and decodes the JSON response into out.
-func doJSON(t *testing.T, client *http.Client, method, url, body string, out any) int {
-	t.Helper()
-	var rdr io.Reader
-	if body != "" {
-		rdr = strings.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("%s %s: bad JSON %q: %v", method, url, raw, err)
-		}
-	}
-	return resp.StatusCode
-}
-
-// TestE2E drives the full daemon lifecycle over HTTP: register,
-// schedule to completion across ticks, observe status, schedule and
-// metrics, cancel, hit every error path, then shut down gracefully
-// and verify the final state snapshot on disk.
+// TestE2E drives the full lifecycle of a single-fabric coflowd (a
+// 1-shard cluster) over HTTP: register, schedule to completion across
+// ticks, observe status, schedule and metrics, cancel, hit every error
+// path, then shut down gracefully and verify the final state snapshot
+// on disk.
 func TestE2E(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "final.json")
-	d, err := New(Config{
-		Ports:        2,
-		Policy:       online.SEBF,
-		SnapshotPath: snapPath,
-		MaxBody:      512,
+	c := newTestCluster(t, Config{
+		Shards:  1,
+		MaxBody: 512,
+		Fabric:  daemon.Config{Ports: 2, Policy: online.SEBF, SnapshotPath: snapPath},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(d.Handler())
-	client := srv.Client()
+	srv := httptest.NewServer(c.Handler())
 
 	// Health before any work.
 	var health struct {
-		Status string `json:"status"`
-		Slot   int64  `json:"slot"`
+		Status string  `json:"status"`
+		Slots  []int64 `json:"slots"`
 	}
-	if code := doJSON(t, client, "GET", srv.URL+"/healthz", "", &health); code != 200 || health.Status != "ok" {
-		t.Fatalf("healthz = %d %+v", code, health)
+	if code, raw := doJSON(t, "GET", srv.URL+"/healthz", "", &health); code != 200 || health.Status != "ok" || len(health.Slots) != 1 {
+		t.Fatalf("healthz = %d %s", code, raw)
 	}
 
 	// Register the paper's Figure 1 coflow (ρ = 3).
 	var created struct {
 		ID      int   `json:"id"`
 		Release int64 `json:"release"`
+		Fabric  int   `json:"fabric"`
 	}
 	regBody := `{"weight": 1, "flows": [
 		{"src": 0, "dst": 0, "size": 1}, {"src": 0, "dst": 1, "size": 2},
 		{"src": 1, "dst": 0, "size": 2}, {"src": 1, "dst": 1, "size": 1}]}`
-	if code := doJSON(t, client, "POST", srv.URL+"/v1/coflows", regBody, &created); code != 201 {
-		t.Fatalf("register = %d", code)
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/coflows", regBody, &created); code != 201 {
+		t.Fatalf("register = %d %s", code, raw)
 	}
-	if created.ID != 1 || created.Release != 0 {
+	if created.ID != 1 || created.Release != 0 || created.Fabric != 0 {
 		t.Fatalf("created = %+v", created)
 	}
 
@@ -91,46 +61,48 @@ func TestE2E(t *testing.T) {
 	var apiErr struct {
 		Error string `json:"error"`
 	}
-	if code := doJSON(t, client, "POST", srv.URL+"/v1/coflows", `{nope`, &apiErr); code != 400 || apiErr.Error == "" {
+	if code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows", `{nope`, &apiErr); code != 400 || apiErr.Error == "" {
 		t.Fatalf("invalid JSON = %d %+v", code, apiErr)
 	}
-	if code := doJSON(t, client, "POST", srv.URL+"/v1/coflows",
+	if code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows",
 		`{"flows": [{"src": 9, "dst": 0, "size": 1}]}`, &apiErr); code != 400 || apiErr.Error == "" {
 		t.Fatalf("out-of-range = %d %+v", code, apiErr)
 	}
 	huge := `{"flows": [` + strings.Repeat(`{"src":0,"dst":0,"size":1},`, 100) + `{"src":0,"dst":0,"size":1}]}`
-	if code := doJSON(t, client, "POST", srv.URL+"/v1/coflows", huge, &apiErr); code != http.StatusRequestEntityTooLarge {
+	if code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows", huge, &apiErr); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body = %d", code)
 	}
-	if code := doJSON(t, client, "GET", srv.URL+"/v1/coflows/42", "", &apiErr); code != 404 {
+	if code, _ := doJSON(t, "GET", srv.URL+"/v1/coflows/42", "", &apiErr); code != 404 {
 		t.Fatalf("unknown coflow = %d", code)
 	}
-	if code := doJSON(t, client, "GET", srv.URL+"/v1/coflows/zero", "", &apiErr); code != 400 {
+	if code, _ := doJSON(t, "GET", srv.URL+"/v1/coflows/zero", "", &apiErr); code != 400 {
 		t.Fatalf("bad id = %d", code)
 	}
 
 	// Drive the scheduler across ticks until the coflow completes;
 	// greedy needs between ρ=3 and 2ρ−1=5 slots.
-	var status CoflowStatus
+	var status daemon.CoflowStatus
 	for tick := 0; tick < 5; tick++ {
-		if err := d.Tick(); err != nil {
+		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if code := doJSON(t, client, "GET", srv.URL+"/v1/coflows/1", "", &status); code != 200 {
-			t.Fatalf("status = %d", code)
+		if code, raw := doJSON(t, "GET", srv.URL+"/v1/coflows/1", "", &status); code != 200 {
+			t.Fatalf("status = %d %s", code, raw)
 		}
 		if tick == 0 {
 			// Mid-flight: the schedule endpoint shows a live matching.
 			var sched struct {
-				Slot        int64               `json:"slot"`
-				Policy      string              `json:"policy"`
-				Assignments []online.Assignment `json:"assignments"`
+				Schedules []struct {
+					Slot        int64               `json:"slot"`
+					Policy      string              `json:"policy"`
+					Assignments []online.Assignment `json:"assignments"`
+				} `json:"schedules"`
 			}
-			if code := doJSON(t, client, "GET", srv.URL+"/v1/schedule", "", &sched); code != 200 {
-				t.Fatalf("schedule = %d", code)
+			if code, raw := doJSON(t, "GET", srv.URL+"/v1/schedule", "", &sched); code != 200 || len(sched.Schedules) != 1 {
+				t.Fatalf("schedule = %d %s", code, raw)
 			}
-			if sched.Slot != 1 || sched.Policy != "SEBF" || len(sched.Assignments) == 0 {
-				t.Fatalf("schedule after first tick = %+v", sched)
+			if s := sched.Schedules[0]; s.Slot != 1 || s.Policy != "SEBF" || len(s.Assignments) == 0 {
+				t.Fatalf("schedule after first tick = %+v", s)
 			}
 		}
 		if status.State == "completed" {
@@ -141,37 +113,42 @@ func TestE2E(t *testing.T) {
 		t.Fatalf("final status = %+v, want completion in [3, 5]", status)
 	}
 
-	// Metrics: non-zero slot latency, the completion accounted.
-	var m Metrics
-	if code := doJSON(t, client, "GET", srv.URL+"/v1/metrics", "", &m); code != 200 {
-		t.Fatalf("metrics = %d", code)
+	// Metrics: non-zero slot latency, the completion accounted, and no
+	// fallback scan for the unknown-ID lookup (one fabric, nothing
+	// else to scan).
+	var cm ClusterMetrics
+	if code, raw := doJSON(t, "GET", srv.URL+"/v1/metrics", "", &cm); code != 200 || len(cm.PerShard) != 1 {
+		t.Fatalf("metrics = %d %s", code, raw)
 	}
+	m := cm.PerShard[0].Metrics
 	if m.Ticks == 0 || m.TickLatency.Count == 0 || m.TickLatency.Max <= 0 {
 		t.Fatalf("slot latency not exported: %+v", m)
 	}
 	if m.Completed != 1 || m.TotalWeighted != float64(status.Completed) {
 		t.Fatalf("completion metrics wrong: %+v", m)
 	}
+	if cm.FallbackScans != 0 {
+		t.Fatalf("route_fallback_scans = %d on a 1-shard cluster, want 0", cm.FallbackScans)
+	}
 
 	// Cancel flow: register a second coflow, cancel it, verify both
 	// the conflict on re-cancel and the listing.
-	if code := doJSON(t, client, "POST", srv.URL+"/v1/coflows",
+	if code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows",
 		`{"flows": [{"src": 0, "dst": 0, "size": 50}]}`, &created); code != 201 {
 		t.Fatalf("second register = %d", code)
 	}
 	cancelURL := fmt.Sprintf("%s/v1/coflows/%d", srv.URL, created.ID)
-	if code := doJSON(t, client, "DELETE", cancelURL, "", nil); code != 200 {
+	if code, _ := doJSON(t, "DELETE", cancelURL, "", nil); code != 200 {
 		t.Fatalf("cancel = %d", code)
 	}
-	if code := doJSON(t, client, "DELETE", cancelURL, "", &apiErr); code != 409 {
+	if code, _ := doJSON(t, "DELETE", cancelURL, "", &apiErr); code != 409 {
 		t.Fatalf("re-cancel = %d", code)
 	}
 	var list struct {
-		Slot    int64                 `json:"slot"`
-		Coflows map[int]*CoflowStatus `json:"coflows"`
+		Coflows map[int]*daemon.CoflowStatus `json:"coflows"`
 	}
-	if code := doJSON(t, client, "GET", srv.URL+"/v1/coflows", "", &list); code != 200 {
-		t.Fatalf("list = %d", code)
+	if code, raw := doJSON(t, "GET", srv.URL+"/v1/coflows", "", &list); code != 200 {
+		t.Fatalf("list = %d %s", code, raw)
 	}
 	if len(list.Coflows) != 2 || list.Coflows[created.ID].State != "cancelled" {
 		t.Fatalf("list = %+v", list)
@@ -180,14 +157,14 @@ func TestE2E(t *testing.T) {
 	// Graceful shutdown: drain HTTP, stop the loop, write the final
 	// snapshot, refuse further work.
 	srv.Close()
-	if err := d.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatalf("final snapshot not written: %v", err)
 	}
-	var snap Snapshot
+	var snap daemon.Snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("final snapshot is not valid JSON: %v", err)
 	}
@@ -197,7 +174,7 @@ func TestE2E(t *testing.T) {
 	if snap.Metrics.Registered != 2 || snap.Metrics.Cancelled != 1 {
 		t.Fatalf("final snapshot metrics = %+v", snap.Metrics)
 	}
-	if _, _, err := d.Register(&coflowmodel.Registration{}); err != ErrClosed {
+	if _, _, _, err := c.Register(&coflowmodel.Registration{}); !errors.Is(err, daemon.ErrClosed) {
 		t.Fatalf("register after shutdown: %v, want ErrClosed", err)
 	}
 }
@@ -209,29 +186,25 @@ func TestE2ERealTicker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock ticker test skipped in -short mode")
 	}
-	d, err := New(Config{Ports: 2, Policy: online.WSPT, Tick: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-	client := srv.Client()
+	_, srv := newTestServer(t, Config{
+		Shards: 1,
+		Fabric: daemon.Config{Ports: 2, Policy: online.WSPT, Tick: 2 * time.Millisecond},
+	})
 
 	var created struct {
 		ID int `json:"id"`
 	}
-	if code := doJSON(t, client, "POST", srv.URL+"/v1/coflows",
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/coflows",
 		`{"flows": [{"src": 0, "dst": 1, "size": 5}, {"src": 1, "dst": 0, "size": 5}]}`,
 		&created); code != 201 {
-		t.Fatalf("register = %d", code)
+		t.Fatalf("register = %d %s", code, raw)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var status CoflowStatus
+		var status daemon.CoflowStatus
 		url := fmt.Sprintf("%s/v1/coflows/%d", srv.URL, created.ID)
-		if code := doJSON(t, client, "GET", url, "", &status); code != 200 {
-			t.Fatalf("status = %d", code)
+		if code, raw := doJSON(t, "GET", url, "", &status); code != 200 {
+			t.Fatalf("status = %d %s", code, raw)
 		}
 		if status.State == "completed" {
 			if status.Completed < status.Load {
@@ -244,11 +217,11 @@ func TestE2ERealTicker(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	var m Metrics
-	if code := doJSON(t, client, "GET", srv.URL+"/v1/metrics", "", &m); code != 200 {
-		t.Fatalf("metrics = %d", code)
+	var cm ClusterMetrics
+	if code, raw := doJSON(t, "GET", srv.URL+"/v1/metrics", "", &cm); code != 200 || len(cm.PerShard) != 1 {
+		t.Fatalf("metrics = %d %s", code, raw)
 	}
-	if m.Ticks == 0 || m.TickLatency.Max <= 0 {
+	if m := cm.PerShard[0].Metrics; m.Ticks == 0 || m.TickLatency.Max <= 0 {
 		t.Fatalf("ticker metrics empty: %+v", m)
 	}
 }

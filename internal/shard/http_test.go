@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"coflow/internal/daemon"
+	"coflow/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Cluster, *httptest.Server) {
@@ -45,9 +46,12 @@ func doJSON(t *testing.T, method, url, body string, out any) (int, string) {
 
 // TestHTTPSingleRegisterLifecycle: the single-object contract survives
 // sharding — 201 with the owning fabric, readable and cancellable by
-// ID from any frontend, structured 404/409 afterwards.
+// ID from any frontend, structured 404/409 afterwards. Cancelling a
+// coflow that already reached a terminal state, by cancellation or by
+// completion, answers 409 with the dedicated kind "terminal_coflow";
+// an unknown ID stays 404 not_found.
 func TestHTTPSingleRegisterLifecycle(t *testing.T) {
-	_, srv := newTestServer(t, Config{Shards: 4})
+	c, srv := newTestServer(t, Config{Shards: 4})
 	var created struct {
 		ID     int `json:"id"`
 		Fabric int `json:"fabric"`
@@ -80,6 +84,26 @@ func TestHTTPSingleRegisterLifecycle(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", srv.URL+"/v1/coflows/99999", "", &errBody); code != http.StatusNotFound || errBody.Kind != "not_found" {
 		t.Fatalf("GET unknown = %d kind=%q, want 404 not_found", code, errBody.Kind)
+	}
+	// Unknown IDs stay 404 not_found — terminal_coflow must not leak there.
+	if code, _ := doJSON(t, "DELETE", srv.URL+"/v1/coflows/99999", "", &errBody); code != http.StatusNotFound || errBody.Kind != "not_found" {
+		t.Fatalf("DELETE unknown = %d kind=%q, want 404 not_found", code, errBody.Kind)
+	}
+
+	// A one-unit coflow drains in one tick and terminates by completion.
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/coflows",
+		`{"flows": [{"src": 1, "dst": 0, "size": 1}]}`, &created); code != http.StatusCreated {
+		t.Fatalf("POST = %d %s", code, raw)
+	}
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	idPath = srv.URL + "/v1/coflows/" + strconv.Itoa(created.ID)
+	if code, raw := doJSON(t, "GET", idPath, "", &got); code != http.StatusOK || got.State != "completed" {
+		t.Fatalf("GET after tick = %d %s, want completed", code, raw)
+	}
+	if code, _ := doJSON(t, "DELETE", idPath, "", &errBody); code != http.StatusConflict || errBody.Kind != "terminal_coflow" {
+		t.Fatalf("DELETE completed = %d kind=%q, want 409 terminal_coflow", code, errBody.Kind)
 	}
 }
 
@@ -213,7 +237,22 @@ func TestHTTPPrometheus(t *testing.T) {
 	if err := c.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	_, body := doJSON(t, "GET", srv.URL+"/metrics", "", nil)
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
+		t.Errorf("content-type %q, want %q", ct, obs.PrometheusContentType)
+	}
+	body := string(raw)
 	for _, want := range []string{
 		"coflow_cluster_fabrics 2",
 		"coflow_cluster_routed_total 4",
@@ -260,22 +299,97 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestHTTPMethodNotAllowed: wrong methods get the structured 405 with
-// an Allow header, same contract as the single-fabric daemon.
+// TestHTTPMethodNotAllowed: a wrong method on any known path gets the
+// structured 405 (not the mux's plain-text default) with the exact
+// Allow header of that path.
 func TestHTTPMethodNotAllowed(t *testing.T) {
 	_, srv := newTestServer(t, Config{Shards: 2})
-	req, err := http.NewRequest("PUT", srv.URL+"/v1/coflows", nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ method, path, allow string }{
+		{"PUT", "/v1/coflows", "DELETE, GET, POST"},
+		{"POST", "/v1/coflows/1", "DELETE, GET"},
+		{"GET", "/v1/ports/1/fail", "POST"},
+		{"DELETE", "/v1/ports/1/recover", "POST"},
+		{"DELETE", "/v1/schedule", "GET"},
+		{"POST", "/v1/metrics", "GET"},
+		{"POST", "/metrics", "GET"},
+		{"DELETE", "/healthz", "GET"},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Kind string }
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", tc.method, tc.path, resp.StatusCode)
+			continue
+		}
+		if allow := resp.Header.Get("Allow"); allow != tc.allow {
+			t.Errorf("%s %s: Allow = %q, want %q", tc.method, tc.path, allow, tc.allow)
+		}
+		if decErr != nil || e.Kind != "method_not_allowed" {
+			t.Errorf("%s %s: body kind %q (%v), want structured method_not_allowed", tc.method, tc.path, e.Kind, decErr)
+		}
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestHTTPStatusCodes pins one handler test per hardened status code
+// on a single-fabric deployment: structured 400 for malformed JSON vs
+// validation failures and 413 for oversized bodies, all with
+// machine-readable kinds; an unknown path stays a 404.
+func TestHTTPStatusCodes(t *testing.T) {
+	_, srv := newTestServer(t, Config{Shards: 1, MaxBody: 256})
+	type apiError struct {
+		Error string `json:"error"`
+		Kind  string `json:"kind"`
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
-		t.Fatalf("PUT = %d Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
-	}
+
+	t.Run("400 malformed JSON", func(t *testing.T) {
+		var e apiError
+		code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows", `{"flows": [`, &e)
+		if code != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", code)
+		}
+		if e.Kind != "malformed_json" || e.Error == "" {
+			t.Fatalf("body %+v, want kind malformed_json", e)
+		}
+	})
+
+	t.Run("400 validation", func(t *testing.T) {
+		var e apiError
+		code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows",
+			`{"flows": [{"src": 9, "dst": 0, "size": 1}]}`, &e)
+		if code != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", code)
+		}
+		if e.Kind != "validation" {
+			t.Fatalf("body %+v, want kind validation", e)
+		}
+	})
+
+	t.Run("413 oversized body", func(t *testing.T) {
+		big := `{"flows": [` + strings.Repeat(`{"src":0,"dst":0,"size":1},`, 100) +
+			`{"src":0,"dst":0,"size":1}]}`
+		var e apiError
+		code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows", big, &e)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("status %d, want 413", code)
+		}
+		if e.Kind != "too_large" {
+			t.Fatalf("body %+v, want kind too_large", e)
+		}
+	})
+
+	t.Run("404 unknown path still 404", func(t *testing.T) {
+		if code, _ := doJSON(t, "GET", srv.URL+"/v1/nope", "", nil); code != http.StatusNotFound {
+			t.Fatalf("status %d, want 404", code)
+		}
+	})
 }
 
 // TestHTTPBulkCancel: the cluster-wide DELETE /v1/coflows resolves a
@@ -296,33 +410,60 @@ func TestHTTPBulkCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body := "[" + strconv.Itoa(live) + ", 99999, " + strconv.Itoa(terminal) + ", 0]"
+	body := "[" + strconv.Itoa(live) + ", 99999, " + strconv.Itoa(terminal) + ", 0, -7]"
 	var resp daemon.BulkResponse
 	if code, raw := doJSON(t, "DELETE", srv.URL+"/v1/coflows", body, &resp); code != http.StatusOK {
 		t.Fatalf("bulk DELETE = %d %s", code, raw)
 	}
-	if resp.OK != 1 || resp.Failed != 3 || len(resp.Results) != 4 {
-		t.Fatalf("bulk response = %+v, want 1 ok / 3 failed / 4 results", resp)
+	if resp.OK != 1 || resp.Failed != 4 || len(resp.Results) != 5 {
+		t.Fatalf("bulk response = %+v, want 1 ok / 4 failed / 5 results", resp)
 	}
-	if r := resp.Results[0]; r.Index != 0 || r.ID != live || r.Fabric != liveFabric || r.Kind != "" {
+	for i, r := range resp.Results {
+		if r.Index != i {
+			t.Fatalf("result %d carries index %d", i, r.Index)
+		}
+	}
+	if r := resp.Results[0]; r.ID != live || r.Fabric != liveFabric || r.Kind != "" || r.Error != "" {
 		t.Fatalf("live item = %+v, want clean cancel on fabric %d", r, liveFabric)
 	}
-	if r := resp.Results[1]; r.Kind != "not_found" {
+	if r := resp.Results[1]; r.Kind != "not_found" || r.Error == "" {
 		t.Fatalf("unknown item = %+v, want not_found", r)
 	}
-	if r := resp.Results[2]; r.Kind != "terminal_coflow" {
+	if r := resp.Results[2]; r.Kind != "terminal_coflow" || r.Error == "" {
 		t.Fatalf("terminal item = %+v, want terminal_coflow", r)
 	}
-	if r := resp.Results[3]; r.Kind != "validation" {
-		t.Fatalf("non-positive item = %+v, want validation", r)
+	if r := resp.Results[3]; r.ID != 0 || r.Kind != "validation" {
+		t.Fatalf("zero item = %+v, want validation", r)
+	}
+	if r := resp.Results[4]; r.ID != -7 || r.Kind != "validation" {
+		t.Fatalf("negative item = %+v, want validation", r)
 	}
 	if _, cs, ok := c.Owner(live); !ok || cs.State != "cancelled" {
 		t.Fatalf("live coflow after bulk cancel: %+v", cs)
 	}
 
 	m := c.Metrics()
-	if m.BulkRequests != 1 || m.BulkItems != 4 {
-		t.Fatalf("bulk counters = %d/%d, want 1/4", m.BulkRequests, m.BulkItems)
+	if m.BulkRequests != 1 || m.BulkItems != 5 {
+		t.Fatalf("bulk counters = %d/%d, want 1/5", m.BulkRequests, m.BulkItems)
+	}
+}
+
+// TestHTTPBulkCancelBodyErrors: body-level breakage fails the whole
+// request with the structured kinds shared with bulk registration.
+func TestHTTPBulkCancelBodyErrors(t *testing.T) {
+	_, srv := newTestServer(t, Config{Shards: 1})
+	var errBody struct {
+		Kind string `json:"kind"`
+	}
+	for body, want := range map[string]string{
+		`{"ids": [1]}`: "malformed_json", // object, not array
+		`[1, 2`:        "malformed_json",
+		`[]`:           "validation",
+	} {
+		errBody.Kind = ""
+		if code, _ := doJSON(t, "DELETE", srv.URL+"/v1/coflows", body, &errBody); code != http.StatusBadRequest || errBody.Kind != want {
+			t.Fatalf("body %q = %d kind=%q, want 400 %s", body, code, errBody.Kind, want)
+		}
 	}
 }
 
@@ -341,8 +482,8 @@ func TestHTTPPortOps(t *testing.T) {
 		t.Fatalf("cluster-wide fail = %d %s", code, raw)
 	}
 	for i, d := range c.fabrics {
-		if got := d.Snapshot().Metrics.PortsFailed; got != 1 {
-			t.Fatalf("fabric %d ports_failed = %d, want 1", i, got)
+		if m := d.Snapshot().Metrics; m.PortsFailed != 1 || len(m.FailedPorts) != 1 || m.FailedPorts[0] != 1 {
+			t.Fatalf("fabric %d metrics after fail = %+v, want failed_ports [1]", i, m)
 		}
 	}
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/ports/1/recover?fabric=2", "", &ack); code != http.StatusOK ||
@@ -355,6 +496,15 @@ func TestHTTPPortOps(t *testing.T) {
 	if got := c.fabrics[0].Snapshot().Metrics.PortsFailed; got != 1 {
 		t.Fatalf("fabric 0 ports_failed = %d, want still 1", got)
 	}
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/ports/1/recover", "", &ack); code != http.StatusOK ||
+		ack.Port != 1 || ack.Fabric != -1 || ack.Failed {
+		t.Fatalf("cluster-wide recover = %d %s", code, raw)
+	}
+	for i, d := range c.fabrics {
+		if got := d.Snapshot().Metrics.PortsFailed; got != 0 {
+			t.Fatalf("fabric %d ports_failed = %d after recover, want 0", i, got)
+		}
+	}
 
 	var errBody struct {
 		Kind string `json:"kind"`
@@ -364,5 +514,8 @@ func TestHTTPPortOps(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "POST", srv.URL+"/v1/ports/99/fail", "", &errBody); code != http.StatusBadRequest || errBody.Kind != "validation" {
 		t.Fatalf("port 99 = %d kind=%q, want 400 validation", code, errBody.Kind)
+	}
+	if code, _ := doJSON(t, "POST", srv.URL+"/v1/ports/x/fail", "", &errBody); code != http.StatusBadRequest || errBody.Kind != "validation" {
+		t.Fatalf("port x = %d kind=%q, want 400 validation", code, errBody.Kind)
 	}
 }

@@ -3,7 +3,9 @@
 // internal/daemon single-writer loop with its own online.State, obs
 // registry and optional self-check monitor), a consistent-hash router
 // that assigns registrations to fabrics, and an amortized cross-shard
-// metrics aggregation behind one HTTP control plane.
+// metrics aggregation behind one HTTP control plane (http.go). That
+// plane is the only one coflowd serves: a single-fabric deployment is
+// a 1-shard cluster.
 //
 // Sharding model: coflows never span fabrics — a coflow's flows all
 // live on the switch it was routed to, so each fabric's scheduling

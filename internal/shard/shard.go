@@ -13,10 +13,14 @@ import (
 
 // ErrUnknownCoflow is returned for operations addressing an ID no
 // fabric has ever seen. It wraps daemon.ErrUnknownCoflow so error
-// classification — and the HTTP planes' not_found mapping via
-// daemon.CancelErrorStatus — is uniform whether a cancel misses on a
-// single fabric or across the whole cluster.
+// classification — and the HTTP plane's not_found mapping — is
+// uniform whether a cancel misses on the owning fabric or across the
+// whole cluster.
 var ErrUnknownCoflow = fmt.Errorf("shard: %w", daemon.ErrUnknownCoflow)
+
+// ErrUnknownFabric marks a registration, port operation or filter
+// naming a fabric ID the cluster does not have.
+var ErrUnknownFabric = errors.New("unknown fabric")
 
 // Config parametrizes a Cluster.
 type Config struct {
@@ -41,6 +45,8 @@ type Config struct {
 	// one per request. Zero means 25ms; negative disables caching
 	// (every read recomputes — tests use this for determinism).
 	AggEvery time.Duration
+	// MaxBody caps HTTP request bodies in bytes; zero means 1 MiB.
+	MaxBody int64
 }
 
 // Cluster owns N switch fabrics behind one control plane. Writes
@@ -65,10 +71,9 @@ type Cluster struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// maxBody and maxPorts are HTTP-plane precomputes: the request
-	// body cap, and the widest fabric's port count (parse-time
-	// validation bound; the owning fabric re-validates on ingest).
-	maxBody  int64
+	// maxPorts is an HTTP-plane precompute: the widest fabric's port
+	// count (parse-time validation bound; the owning fabric
+	// re-validates on ingest).
 	maxPorts int
 	// labels holds "0".."N-1" for the Prometheus fabric label.
 	labels []string
@@ -136,6 +141,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.AggEvery == 0 {
 		cfg.AggEvery = 25 * time.Millisecond
 	}
+	if cfg.MaxBody <= 0 {
+		cfg.MaxBody = 1 << 20
+	}
 	c := &Cluster{
 		cfg:      cfg,
 		ring:     NewRing(cfg.Shards, cfg.Replicas),
@@ -162,10 +170,6 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("shard: fabric %d: %w", i, err)
 		}
 		c.fabrics = append(c.fabrics, d)
-	}
-	c.maxBody = cfg.Fabric.MaxBody
-	if c.maxBody <= 0 {
-		c.maxBody = 1 << 20
 	}
 	c.labels = make([]string, cfg.Shards)
 	for i, d := range c.fabrics {
@@ -213,14 +217,14 @@ func (c *Cluster) Register(reg *coflowmodel.Registration) (id int, release int64
 		if fabric < 0 || fabric >= len(c.fabrics) {
 			c.obs.ingestErrors.Inc()
 			return 0, 0, 0, fmt.Errorf("shard: %w %d (cluster has fabrics 0..%d)",
-				daemon.ErrUnknownFabric, fabric, len(c.fabrics)-1)
+				ErrUnknownFabric, fabric, len(c.fabrics)-1)
 		}
 		c.obs.pinned.Inc()
 	} else {
 		fabric = c.ring.Route(uint64(id))
 		c.obs.routed.Inc()
 	}
-	release, err = c.fabrics[fabric].RegisterWithID(id, reg)
+	release, err = c.fabrics[fabric].Register(id, reg)
 	if err != nil {
 		c.obs.ingestErrors.Inc()
 		return 0, 0, 0, err
@@ -230,9 +234,10 @@ func (c *Cluster) Register(reg *coflowmodel.Registration) (id int, release int64
 
 // Owner locates the fabric holding id: the hash owner first (every
 // unpinned coflow lives there), then a scan of the remaining
-// snapshots (pinned coflows, counted as fallback scans). Reads only
-// atomic snapshots — never a fabric loop — and registrations are
-// published before their reply, so an acked ID is always findable.
+// snapshots (pinned coflows, counted as fallback scans; a 1-fabric
+// cluster has nothing to scan and counts none). Reads only atomic
+// snapshots — never a fabric loop — and registrations are published
+// before their reply, so an acked ID is always findable.
 func (c *Cluster) Owner(id int) (fabric int, cs *daemon.CoflowStatus, ok bool) {
 	if id <= 0 {
 		return 0, nil, false
@@ -240,6 +245,9 @@ func (c *Cluster) Owner(id int) (fabric int, cs *daemon.CoflowStatus, ok bool) {
 	f := c.ring.Route(uint64(id))
 	if cs := c.fabrics[f].Snapshot().Coflows.Get(id); cs != nil {
 		return f, cs, true
+	}
+	if len(c.fabrics) == 1 {
+		return 0, nil, false
 	}
 	c.obs.fallbackScans.Inc()
 	for i, d := range c.fabrics {
@@ -296,7 +304,7 @@ func (c *Cluster) portOp(fabric, port int, fail bool) error {
 	if fabric >= 0 {
 		if fabric >= len(c.fabrics) {
 			return fmt.Errorf("shard: %w %d (cluster has fabrics 0..%d)",
-				daemon.ErrUnknownFabric, fabric, len(c.fabrics)-1)
+				ErrUnknownFabric, fabric, len(c.fabrics)-1)
 		}
 		return do(c.fabrics[fabric])
 	}

@@ -78,19 +78,19 @@ func TestRegisterPinned(t *testing.T) {
 		t.Fatalf("Owner(%d) = (%d, %+v, %v), want pinned fabric %d", id, gotFabric, cs, ok, pin)
 	}
 	m := c.Metrics()
-	if m.Pinned != 1 || m.FallbackScans == 0 {
-		t.Fatalf("pinned=%d fallbackScans=%d, want 1 and >0", m.Pinned, m.FallbackScans)
+	if m.Pinned != 1 || m.FallbackScans != 1 {
+		t.Fatalf("pinned=%d fallbackScans=%d, want 1 and 1", m.Pinned, m.FallbackScans)
 	}
 }
 
 // TestRegisterUnknownFabric: pinning outside 0..N-1 is rejected with
-// the daemon's sentinel and consumes no coflow slot on any fabric.
+// the cluster's sentinel and consumes no coflow slot on any fabric.
 func TestRegisterUnknownFabric(t *testing.T) {
 	c := newTestCluster(t, Config{Shards: 2})
 	for _, pin := range []int{-1, 2, 7} {
 		reg := oneFlow()
 		reg.Fabric = &pin
-		if _, _, _, err := c.Register(reg); !errors.Is(err, daemon.ErrUnknownFabric) {
+		if _, _, _, err := c.Register(reg); !errors.Is(err, ErrUnknownFabric) {
 			t.Fatalf("pin %d: err = %v, want ErrUnknownFabric", pin, err)
 		}
 	}
