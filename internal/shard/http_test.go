@@ -46,12 +46,9 @@ func doJSON(t *testing.T, method, url, body string, out any) (int, string) {
 
 // TestHTTPSingleRegisterLifecycle: the single-object contract survives
 // sharding — 201 with the owning fabric, readable and cancellable by
-// ID from any frontend, structured 404/409 afterwards. Cancelling a
-// coflow that already reached a terminal state, by cancellation or by
-// completion, answers 409 with the dedicated kind "terminal_coflow";
-// an unknown ID stays 404 not_found.
+// ID from any frontend, structured 404/409 afterwards.
 func TestHTTPSingleRegisterLifecycle(t *testing.T) {
-	c, srv := newTestServer(t, Config{Shards: 4})
+	_, srv := newTestServer(t, Config{Shards: 4})
 	var created struct {
 		ID     int `json:"id"`
 		Fabric int `json:"fabric"`
@@ -84,26 +81,6 @@ func TestHTTPSingleRegisterLifecycle(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", srv.URL+"/v1/coflows/99999", "", &errBody); code != http.StatusNotFound || errBody.Kind != "not_found" {
 		t.Fatalf("GET unknown = %d kind=%q, want 404 not_found", code, errBody.Kind)
-	}
-	// Unknown IDs stay 404 not_found — terminal_coflow must not leak there.
-	if code, _ := doJSON(t, "DELETE", srv.URL+"/v1/coflows/99999", "", &errBody); code != http.StatusNotFound || errBody.Kind != "not_found" {
-		t.Fatalf("DELETE unknown = %d kind=%q, want 404 not_found", code, errBody.Kind)
-	}
-
-	// A one-unit coflow drains in one tick and terminates by completion.
-	if code, raw := doJSON(t, "POST", srv.URL+"/v1/coflows",
-		`{"flows": [{"src": 1, "dst": 0, "size": 1}]}`, &created); code != http.StatusCreated {
-		t.Fatalf("POST = %d %s", code, raw)
-	}
-	if err := c.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	idPath = srv.URL + "/v1/coflows/" + strconv.Itoa(created.ID)
-	if code, raw := doJSON(t, "GET", idPath, "", &got); code != http.StatusOK || got.State != "completed" {
-		t.Fatalf("GET after tick = %d %s, want completed", code, raw)
-	}
-	if code, _ := doJSON(t, "DELETE", idPath, "", &errBody); code != http.StatusConflict || errBody.Kind != "terminal_coflow" {
-		t.Fatalf("DELETE completed = %d kind=%q, want 409 terminal_coflow", code, errBody.Kind)
 	}
 }
 
@@ -338,60 +315,6 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestHTTPStatusCodes pins one handler test per hardened status code
-// on a single-fabric deployment: structured 400 for malformed JSON vs
-// validation failures and 413 for oversized bodies, all with
-// machine-readable kinds; an unknown path stays a 404.
-func TestHTTPStatusCodes(t *testing.T) {
-	_, srv := newTestServer(t, Config{Shards: 1, MaxBody: 256})
-	type apiError struct {
-		Error string `json:"error"`
-		Kind  string `json:"kind"`
-	}
-
-	t.Run("400 malformed JSON", func(t *testing.T) {
-		var e apiError
-		code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows", `{"flows": [`, &e)
-		if code != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", code)
-		}
-		if e.Kind != "malformed_json" || e.Error == "" {
-			t.Fatalf("body %+v, want kind malformed_json", e)
-		}
-	})
-
-	t.Run("400 validation", func(t *testing.T) {
-		var e apiError
-		code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows",
-			`{"flows": [{"src": 9, "dst": 0, "size": 1}]}`, &e)
-		if code != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", code)
-		}
-		if e.Kind != "validation" {
-			t.Fatalf("body %+v, want kind validation", e)
-		}
-	})
-
-	t.Run("413 oversized body", func(t *testing.T) {
-		big := `{"flows": [` + strings.Repeat(`{"src":0,"dst":0,"size":1},`, 100) +
-			`{"src":0,"dst":0,"size":1}]}`
-		var e apiError
-		code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows", big, &e)
-		if code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("status %d, want 413", code)
-		}
-		if e.Kind != "too_large" {
-			t.Fatalf("body %+v, want kind too_large", e)
-		}
-	})
-
-	t.Run("404 unknown path still 404", func(t *testing.T) {
-		if code, _ := doJSON(t, "GET", srv.URL+"/v1/nope", "", nil); code != http.StatusNotFound {
-			t.Fatalf("status %d, want 404", code)
-		}
-	})
-}
-
 // TestHTTPBulkCancel: the cluster-wide DELETE /v1/coflows resolves a
 // mixed array of IDs independently, reports the owning fabric for
 // clean cancels, and meters the bulk plane — same index-addressed
@@ -410,60 +333,33 @@ func TestHTTPBulkCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body := "[" + strconv.Itoa(live) + ", 99999, " + strconv.Itoa(terminal) + ", 0, -7]"
+	body := "[" + strconv.Itoa(live) + ", 99999, " + strconv.Itoa(terminal) + ", 0]"
 	var resp daemon.BulkResponse
 	if code, raw := doJSON(t, "DELETE", srv.URL+"/v1/coflows", body, &resp); code != http.StatusOK {
 		t.Fatalf("bulk DELETE = %d %s", code, raw)
 	}
-	if resp.OK != 1 || resp.Failed != 4 || len(resp.Results) != 5 {
-		t.Fatalf("bulk response = %+v, want 1 ok / 4 failed / 5 results", resp)
+	if resp.OK != 1 || resp.Failed != 3 || len(resp.Results) != 4 {
+		t.Fatalf("bulk response = %+v, want 1 ok / 3 failed / 4 results", resp)
 	}
-	for i, r := range resp.Results {
-		if r.Index != i {
-			t.Fatalf("result %d carries index %d", i, r.Index)
-		}
-	}
-	if r := resp.Results[0]; r.ID != live || r.Fabric != liveFabric || r.Kind != "" || r.Error != "" {
+	if r := resp.Results[0]; r.Index != 0 || r.ID != live || r.Fabric != liveFabric || r.Kind != "" {
 		t.Fatalf("live item = %+v, want clean cancel on fabric %d", r, liveFabric)
 	}
-	if r := resp.Results[1]; r.Kind != "not_found" || r.Error == "" {
+	if r := resp.Results[1]; r.Kind != "not_found" {
 		t.Fatalf("unknown item = %+v, want not_found", r)
 	}
-	if r := resp.Results[2]; r.Kind != "terminal_coflow" || r.Error == "" {
+	if r := resp.Results[2]; r.Kind != "terminal_coflow" {
 		t.Fatalf("terminal item = %+v, want terminal_coflow", r)
 	}
-	if r := resp.Results[3]; r.ID != 0 || r.Kind != "validation" {
-		t.Fatalf("zero item = %+v, want validation", r)
-	}
-	if r := resp.Results[4]; r.ID != -7 || r.Kind != "validation" {
-		t.Fatalf("negative item = %+v, want validation", r)
+	if r := resp.Results[3]; r.Kind != "validation" {
+		t.Fatalf("non-positive item = %+v, want validation", r)
 	}
 	if _, cs, ok := c.Owner(live); !ok || cs.State != "cancelled" {
 		t.Fatalf("live coflow after bulk cancel: %+v", cs)
 	}
 
 	m := c.Metrics()
-	if m.BulkRequests != 1 || m.BulkItems != 5 {
-		t.Fatalf("bulk counters = %d/%d, want 1/5", m.BulkRequests, m.BulkItems)
-	}
-}
-
-// TestHTTPBulkCancelBodyErrors: body-level breakage fails the whole
-// request with the structured kinds shared with bulk registration.
-func TestHTTPBulkCancelBodyErrors(t *testing.T) {
-	_, srv := newTestServer(t, Config{Shards: 1})
-	var errBody struct {
-		Kind string `json:"kind"`
-	}
-	for body, want := range map[string]string{
-		`{"ids": [1]}`: "malformed_json", // object, not array
-		`[1, 2`:        "malformed_json",
-		`[]`:           "validation",
-	} {
-		errBody.Kind = ""
-		if code, _ := doJSON(t, "DELETE", srv.URL+"/v1/coflows", body, &errBody); code != http.StatusBadRequest || errBody.Kind != want {
-			t.Fatalf("body %q = %d kind=%q, want 400 %s", body, code, errBody.Kind, want)
-		}
+	if m.BulkRequests != 1 || m.BulkItems != 4 {
+		t.Fatalf("bulk counters = %d/%d, want 1/4", m.BulkRequests, m.BulkItems)
 	}
 }
 
@@ -482,8 +378,8 @@ func TestHTTPPortOps(t *testing.T) {
 		t.Fatalf("cluster-wide fail = %d %s", code, raw)
 	}
 	for i, d := range c.fabrics {
-		if m := d.Snapshot().Metrics; m.PortsFailed != 1 || len(m.FailedPorts) != 1 || m.FailedPorts[0] != 1 {
-			t.Fatalf("fabric %d metrics after fail = %+v, want failed_ports [1]", i, m)
+		if got := d.Snapshot().Metrics.PortsFailed; got != 1 {
+			t.Fatalf("fabric %d ports_failed = %d, want 1", i, got)
 		}
 	}
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/ports/1/recover?fabric=2", "", &ack); code != http.StatusOK ||
@@ -514,8 +410,5 @@ func TestHTTPPortOps(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "POST", srv.URL+"/v1/ports/99/fail", "", &errBody); code != http.StatusBadRequest || errBody.Kind != "validation" {
 		t.Fatalf("port 99 = %d kind=%q, want 400 validation", code, errBody.Kind)
-	}
-	if code, _ := doJSON(t, "POST", srv.URL+"/v1/ports/x/fail", "", &errBody); code != http.StatusBadRequest || errBody.Kind != "validation" {
-		t.Fatalf("port x = %d kind=%q, want 400 validation", code, errBody.Kind)
 	}
 }
